@@ -39,7 +39,12 @@ package core
 // wall-clock time. parexec_test.go enforces this with engine dispatch
 // hashes.
 
-import "mind/internal/sim"
+import (
+	"runtime"
+	"sync/atomic"
+
+	"mind/internal/sim"
+)
 
 // borrowReq is one queued blade-borrow negotiation: the allocator
 // transfer happens at the barrier preceding the window that contains
@@ -69,9 +74,9 @@ type podExec struct {
 	// wp is the persistent worker pool of parallel drives. It is
 	// created lazily on the first parallel drive and survives across
 	// drives (RunThreads drives twice, AdvanceTime sampling loops drive
-	// per tick) so window handoff reuses parked goroutines instead of
-	// spawning a pool per drive; any drive that ends with the pod fully
-	// drained releases it, so an idle pod holds no goroutines.
+	// per tick) so window handoff reuses spinning or parked helpers
+	// instead of spawning a pool per drive; any drive that ends with the
+	// pod fully drained releases it, so an idle pod holds no goroutines.
 	wp *wpool
 
 	// Barrier-driven sampler (Pod.SampleEvery).
@@ -102,8 +107,8 @@ func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 // evaluated at barriers. A nonzero target caps the final window (used
 // by AdvanceTime to land exactly on its deadline); a zero target means
 // "until stop", and running dry beforehand is a protocol wedge. When
-// parallel is set (and the pod has both workers and racks to use),
-// windows execute on the persistent worker pool.
+// parallel is set (and workers, racks and GOMAXPROCS all allow more
+// than one participant), windows execute on the persistent worker pool.
 //
 // In sparse mode (the default) each iteration jumps the cursor directly
 // to the window containing the pod's safe horizon (nextBarrier),
@@ -115,9 +120,13 @@ func newPodExec(p *Pod, window sim.Duration, workers int, dense bool) *podExec {
 // skipped region has neither.
 func (x *podExec) drive(parallel bool, target sim.Time, stop func() bool) {
 	var wp *wpool
-	if parallel && x.workers > 1 && len(x.p.racks) > 1 {
+	if parallel {
 		if x.wp == nil {
-			x.wp = newWpool(x.p.racks, x.workers)
+			// One participant per worker, but at most one per rack and
+			// one per thread the runtime runs at once.
+			if n := min(x.workers, len(x.p.racks), runtime.GOMAXPROCS(0)); n > 1 {
+				x.wp = newWpool(x.p.racks, n)
+			}
 		}
 		wp = x.wp
 	}
@@ -337,54 +346,144 @@ func (x *podExec) barrier(end sim.Time) {
 	}
 }
 
-// wpool executes one window across the racks on a fixed set of
-// goroutines. Worker w owns racks w, w+n, w+2n, … for its lifetime, so
-// a rack's engine is only ever touched by one goroutine per drive; the
-// start/done channel operations order each window's rack mutations
-// before the barrier's reads.
+// wpool executes one window across the racks. The driving goroutine is
+// participant 0 and runs its own share inline; participants 1..n-1 are
+// helper goroutines. Participant p owns the contiguous rack block
+// [p·R/n, (p+1)·R/n) for the pool's lifetime, so a rack's engine is
+// only ever touched by one goroutine per drive.
+//
+// Handoff is two atomics per window instead of channel traffic. The
+// driver stores the window end, arms the countdown with the helper
+// count and bumps the generation; a helper that observes the new
+// generation runs its block and decrements the countdown, and the
+// driver returns once it reads zero. Both edges are sync/atomic
+// operations, which order the driver's barrier writes before a
+// helper's window and each helper's rack mutations before the next
+// barrier's reads. Between windows helpers spin on the generation,
+// yielding now and then, and park on their wake channel only after
+// spinBudget polls, so a pod that is between drives (or stalled in host
+// work) costs no CPU.
 type wpool struct {
-	racks []*Rack
-	n     int
-	start []chan sim.Time
-	done  chan struct{}
+	// own is the driver's block.
+	own []*Rack
+	// end is the current window's end, published by gen.
+	end sim.Time
+	// quit, published by gen like end, tells helpers to exit.
+	quit bool
+	gen  atomic.Uint64
+	// pending counts helpers still running the current generation.
+	pending atomic.Int32
+	helpers []*helper
 }
 
-func newWpool(racks []*Rack, workers int) *wpool {
-	if workers > len(racks) {
-		workers = len(racks)
-	}
-	wp := &wpool{
-		racks: racks,
-		n:     workers,
-		start: make([]chan sim.Time, workers),
-		done:  make(chan struct{}, workers),
-	}
-	for w := 0; w < workers; w++ {
-		ch := make(chan sim.Time, 1)
-		wp.start[w] = ch
-		go func(w int, ch chan sim.Time) {
-			for end := range ch {
-				for i := w; i < len(wp.racks); i += wp.n {
-					wp.racks[i].eng.RunWindow(end)
-				}
-				wp.done <- struct{}{}
-			}
-		}(w, ch)
+// helper is one parked-or-spinning pool goroutine's wake state. parked
+// is set by the helper just before it blocks on wake; whoever clears it
+// (the driver publishing a window, or the helper itself on seeing one
+// after all) decides whether a wake token is sent, so every token is
+// received exactly once.
+type helper struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+const (
+	// spinBudget is how many generation polls a waiting helper makes
+	// before it parks: enough to cover a barrier between windows, far
+	// less than host work between drives.
+	spinBudget = 1 << 14
+	// spinYield is how often, in polls, a spinning participant yields
+	// its processor (runtime.Gosched), so goroutines competing for the
+	// runtime's threads still run.
+	spinYield = 64
+)
+
+// newWpool starts a pool of n participants over racks.
+func newWpool(racks []*Rack, n int) *wpool {
+	block := func(p int) []*Rack { return racks[p*len(racks)/n : (p+1)*len(racks)/n] }
+	wp := &wpool{own: block(0)}
+	for p := 1; p < n; p++ {
+		h := &helper{wake: make(chan struct{}, 1)}
+		wp.helpers = append(wp.helpers, h)
+		go wp.help(h, block(p))
 	}
 	return wp
 }
 
-func (wp *wpool) run(end sim.Time) {
-	for _, ch := range wp.start {
-		ch <- end
-	}
-	for range wp.start {
-		<-wp.done
+// help is a helper's lifetime: wait for each new generation, run the
+// block's window, count down.
+func (wp *wpool) help(h *helper, block []*Rack) {
+	var seen uint64
+	for {
+		seen = wp.await(h, seen)
+		if wp.quit {
+			wp.pending.Add(-1)
+			return
+		}
+		for _, r := range block {
+			r.eng.RunWindow(wp.end)
+		}
+		wp.pending.Add(-1)
 	}
 }
 
-func (wp *wpool) close() {
-	for _, ch := range wp.start {
-		close(ch)
+// await returns the first generation after seen, spinning for
+// spinBudget polls and then parking until the driver wakes h.
+func (wp *wpool) await(h *helper, seen uint64) uint64 {
+	for spins := 1; ; spins++ {
+		if g := wp.gen.Load(); g != seen {
+			return g
+		}
+		if spins%spinYield == 0 {
+			runtime.Gosched()
+		}
+		if spins < spinBudget {
+			continue
+		}
+		h.parked.Store(true)
+		if g := wp.gen.Load(); g != seen && h.parked.Swap(false) {
+			// Published between the last poll and parking, and the
+			// driver has not claimed the wake: no token is coming.
+			return g
+		}
+		<-h.wake
+		spins = 0
 	}
+}
+
+// publish starts generation gen+1 for every helper, waking parked ones.
+func (wp *wpool) publish() {
+	wp.pending.Store(int32(len(wp.helpers)))
+	wp.gen.Add(1)
+	for _, h := range wp.helpers {
+		if h.parked.Load() && h.parked.Swap(false) {
+			h.wake <- struct{}{}
+		}
+	}
+}
+
+// wait spins until every helper has counted down the current generation.
+func (wp *wpool) wait() {
+	for spins := 1; wp.pending.Load() != 0; spins++ {
+		if spins%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// run executes one window to end on every rack and returns with every
+// engine parked on end.
+func (wp *wpool) run(end sim.Time) {
+	wp.end = end
+	wp.publish()
+	for _, r := range wp.own {
+		r.eng.RunWindow(end)
+	}
+	wp.wait()
+}
+
+// close stops the helpers and returns once each has left the pool.
+func (wp *wpool) close() {
+	wp.quit = true
+	wp.publish()
+	wp.wait()
 }

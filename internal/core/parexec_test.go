@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"mind/internal/ctrlplane"
 	"mind/internal/mem"
@@ -16,6 +18,26 @@ import (
 // finish time, each engine's executed-event count and dispatch-trace
 // hash, and the merged counter snapshot.
 func equivRun(t *testing.T, racks, workers int, window sim.Duration, dense bool) (sim.Time, []uint64, []uint64, map[string]uint64) {
+	t.Helper()
+	pod := equivPod(t, racks, workers, window, dense)
+	end := pod.RunThreads()
+	execs, hashes := dispatchTraces(pod)
+	return end, execs, hashes, pod.Collector().Snapshot()
+}
+
+// dispatchTraces returns each rack engine's executed-event count and
+// dispatch-trace hash.
+func dispatchTraces(pod *Pod) (execs, hashes []uint64) {
+	for i := 0; i < pod.Racks(); i++ {
+		execs = append(execs, pod.Rack(i).Engine().Executed)
+		hashes = append(hashes, pod.Rack(i).Engine().DispatchHash())
+	}
+	return execs, hashes
+}
+
+// equivPod builds equivRun's pod with every thread started and none yet
+// driven.
+func equivPod(t *testing.T, racks, workers int, window sim.Duration, dense bool) *Pod {
 	t.Helper()
 	cfgs := make([]Config, racks)
 	cfgs[0] = podRackConfig(2, 1, 1024)
@@ -85,14 +107,7 @@ func equivRun(t *testing.T, racks, workers int, window sim.Duration, dense bool)
 			}, nil)
 		}
 	}
-	end := pod.RunThreads()
-	execs := make([]uint64, racks)
-	hashes := make([]uint64, racks)
-	for i := 0; i < racks; i++ {
-		execs[i] = pod.Rack(i).Engine().Executed
-		hashes[i] = pod.Rack(i).Engine().DispatchHash()
-	}
-	return end, execs, hashes, pod.Collector().Snapshot()
+	return pod
 }
 
 // TestParallelEquivalence is the determinism contract of the windowed
@@ -117,11 +132,22 @@ func TestParallelEquivalence(t *testing.T) {
 		{workers: 4, dense: false},
 		{workers: 8, dense: false},
 	}
-	for _, racks := range []int{2, 3} {
+	for _, racks := range []int{2, 3, 5} {
 		for _, window := range []sim.Duration{250 * sim.Nanosecond, 500 * sim.Nanosecond, sim.Microsecond} {
+			if racks == 5 && window != sim.Microsecond {
+				continue
+			}
 			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, window), func(t *testing.T) {
+				vs := variants
+				if racks == 5 {
+					// Uneven rack blocks (2+3 and 1+2+2) and a worker
+					// count past the runtime's threads, at the default
+					// window.
+					minProcs(t, 3)
+					vs = []variant{{workers: 2}, {workers: 3}, {workers: runtime.GOMAXPROCS(0) + 1}}
+				}
 				endS, execS, hashS, snapS := equivRun(t, racks, 1, window, true)
-				for _, v := range variants {
+				for _, v := range vs {
 					end, exec, hash, snap := equivRun(t, racks, v.workers, window, v.dense)
 					tag := fmt.Sprintf("workers=%d dense=%v", v.workers, v.dense)
 					if end != endS {
@@ -471,11 +497,14 @@ func equivFailRun(t *testing.T, racks, workers int, window sim.Duration) (sim.Ti
 // Blackout() and detection-delay accounting — same pages lost, same
 // errors).
 func TestParallelEquivalenceFailures(t *testing.T) {
-	for _, racks := range []int{2, 3} {
+	for _, racks := range []int{2, 3, 5} {
 		for _, window := range []sim.Duration{250 * sim.Nanosecond, sim.Microsecond} {
 			t.Run(fmt.Sprintf("racks=%d/window=%v", racks, window), func(t *testing.T) {
+				if racks == 5 {
+					minProcs(t, 3)
+				}
 				endS, hashS, snapS, outS := equivFailRun(t, racks, 1, window)
-				for _, workers := range []int{2, 4, 8} {
+				for _, workers := range []int{2, 3, 4, 8, runtime.GOMAXPROCS(0) + 1} {
 					end, hash, snap, out := equivFailRun(t, racks, workers, window)
 					if end != endS {
 						t.Errorf("workers=%d: end %v, serial %v", workers, end, endS)
@@ -501,6 +530,84 @@ func TestParallelEquivalenceFailures(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestWorkerPoolParkWake pins the pool's lifecycle across drives. A
+// parallel pod driven by AdvanceTime in grid-aligned steps keeps one
+// pool; each pause between steps lasts until every helper has spun out
+// its budget and parked, so each next drive must wake them. The stepped
+// run must dispatch exactly what the same stepped schedule dispatches
+// serially, and the drive that leaves the pod idle releases the
+// helpers. The worker count exceeds GOMAXPROCS, so the pool is clamped
+// to the racks and the runtime's threads.
+func TestWorkerPoolParkWake(t *testing.T) {
+	minProcs(t, 2)
+	const racks = 3
+	window := 500 * sim.Nanosecond
+	stepped := func(workers int, pause func(*Pod)) ([]uint64, []uint64) {
+		pod := equivPod(t, racks, workers, window, false)
+		for i := 0; i < 8; i++ {
+			pod.AdvanceTime(40 * window)
+			pause(pod)
+		}
+		pod.RunThreads()
+		return dispatchTraces(pod)
+	}
+	execS, hashS := stepped(1, func(*Pod) {})
+
+	start := runtime.NumGoroutine()
+	workers := runtime.GOMAXPROCS(0) + 1
+	exec, hash := stepped(workers, func(pod *Pod) {
+		wp := pod.exec.wp
+		if wp == nil {
+			t.Fatal("worker pool released while the pod is live")
+		}
+		if n, want := len(wp.helpers)+1, min(racks, runtime.GOMAXPROCS(0)); n != want {
+			t.Fatalf("pool has %d participants, want %d", n, want)
+		}
+		parked := func() bool {
+			for _, h := range wp.helpers {
+				if !h.parked.Load() {
+					return false
+				}
+			}
+			return true
+		}
+		if !eventually(parked) {
+			t.Fatal("idle helpers never parked")
+		}
+	})
+	for i := range execS {
+		if exec[i] != execS[i] || hash[i] != hashS[i] {
+			t.Errorf("rack %d: executed/hash %d/%#x, serial %d/%#x",
+				i, exec[i], hash[i], execS[i], hashS[i])
+		}
+	}
+	if !eventually(func() bool { return runtime.NumGoroutine() <= start }) {
+		t.Errorf("%d goroutines after the pod went idle, %d before it was built",
+			runtime.NumGoroutine(), start)
+	}
+}
+
+// minProcs raises GOMAXPROCS to at least n for the rest of the test, so
+// the pool's participant count, which the runtime's threads clamp, does
+// not depend on the host's CPUs.
+func minProcs(t *testing.T, n int) {
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// eventually polls cond for up to a second of host time.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
 }
 
 // TestSparseWindowStats pins the executor's work accounting. Idling a

@@ -76,8 +76,9 @@ type PodConfig struct {
 	// Promotion paces hot-page promotion (zero fields take defaults).
 	Promotion PromotionConfig
 	// Workers is how many OS threads execute rack windows concurrently
-	// in a multi-rack pod (0 or 1: serial). Any worker count produces
-	// bit-identical results; workers only change wall-clock time.
+	// in a multi-rack pod (0 or 1: serial), clamped to the rack count
+	// and GOMAXPROCS. Any worker count produces bit-identical results;
+	// workers only change wall-clock time.
 	Workers int
 	// Window overrides the lockstep window width (0: the interconnect
 	// propagation delay). It is clamped to at most the propagation
