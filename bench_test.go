@@ -51,8 +51,8 @@ func BenchmarkHotPathMacro(b *testing.B) {
 // BenchmarkRackMacro is the rack-scale macro benchmark behind
 // BENCH_rack.json: the GC (PageRank) mix on a 64-blade rack, 4 threads
 // per blade. Sharer sets span the rack and the event queue runs deep, so
-// this tracks the scale headroom of the per-event structures (calendar
-// queue, sharer bitmaps, index-addressed tables) rather than per-op
+// this tracks the scale headroom of the per-event structures (event
+// heap, sharer bitmaps, index-addressed tables) rather than per-op
 // cost.
 func BenchmarkRackMacro(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -423,7 +423,7 @@ func runCheck(scenario string, rep report, res hotpath.Result, fullOps bool) {
 	}
 	// The absolute budget is calibrated on full-ops runs; a short -ops
 	// run is dominated by fixed warm-up allocations (per-engine event
-	// and calendar-slab pools, thread spawns) and would trip it on
+	// pools and heap arrays, thread spawns) and would trip it on
 	// healthy code.
 	if fullOps && res.AllocsPerOp > 0.10 {
 		fatalf("allocs/op %.4f exceeds the 0.10 budget", res.AllocsPerOp)

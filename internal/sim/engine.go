@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation kernel
 // used by every component of the MIND reproduction: a virtual clock in
-// integer nanoseconds, a calendar-queue event queue, FIFO service
+// integer nanoseconds, a heap-ordered event queue, FIFO service
 // resources for modelling queueing (NICs, switch pipelines, invalidation
 // handlers), and a deterministic random-number source.
 //
@@ -8,21 +8,16 @@
 // inside event callbacks, executed in (time, sequence) order, so runs are
 // bit-for-bit reproducible given the same seed and configuration.
 //
-// The steady-state scheduling path is allocation-free and O(1) per event:
-// ScheduleArg/AtArg take a pre-bound callback (a plain function plus its
-// argument, instead of a freshly minted closure), their events are
-// recycled through a free list after firing, and events scheduled for the
-// current instant bypass the queue through a FIFO fast lane. Events in
-// the near future land in a bucketed calendar ring (constant-time insert,
-// buckets sorted only when their window is reached); only far-future
-// events (past the ~2 ms ring horizon — fault timeouts sit just inside
-// it) fall back to a binary heap, and they migrate into the ring as the
-// horizon advances. Dispatch order is identical to a pure (time,
-// sequence) heap in every mode.
+// The steady-state scheduling path is allocation-free: ScheduleArg/AtArg
+// take a pre-bound callback (a plain function plus its argument, instead
+// of a freshly minted closure), their events are recycled through a free
+// list after firing, and events scheduled for the current instant bypass
+// the queue through a FIFO fast lane. Future events go into one compact
+// 4-ary min-heap keyed inline by (time, sequence): O(log n) insert, pop
+// and eager cancel. Dispatch order is exactly ascending (time, sequence).
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -59,22 +54,6 @@ func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 
 func (d Duration) String() string { return fmt.Sprintf("%.3fus", d.Micros()) }
 
-// Calendar-ring geometry. Buckets are 256 ns wide (a handful of fabric
-// hops), and the ring covers a ~2.1 ms horizon — wide enough that every
-// steady-state delay in the calibrated rack model (pipeline service,
-// NIC, wire, DMA, control RTT, retry backoff, and the 2 ms fault
-// timeout) schedules in O(1); only cold-path far-future events (epoch
-// ticks of slow configs, Fig-10 elasticity scripts) touch the overflow
-// heap.
-const (
-	bucketShift = 8                              // log2 bucket width (256 ns)
-	ringShift   = 13                             // log2 bucket count (8192 buckets)
-	numBuckets  = 1 << ringShift                 // buckets in the ring
-	ringMask    = numBuckets - 1                 // bucket index mask
-	bucketWidth = Time(1) << bucketShift         // ns per bucket
-	horizon     = bucketWidth * Time(numBuckets) // ring coverage (~2.1 ms)
-)
-
 // Event lifecycle states. A pending event is queued; firing and
 // cancellation are terminal and mutually exclusive, which is what makes
 // recycling safe to reason about: only fired, never-escaped events
@@ -85,18 +64,14 @@ const (
 	stateCanceled
 )
 
-// Event locations: which physical container currently holds the event.
-// whereRing/whereOverflow/whereCurHeap events can be removed eagerly on
-// Cancel (their idx names the slot); whereLane/whereSorted events are
-// canceled lazily and stay resident until their FIFO slot or sorted
-// window drains, so Rearm must not reuse the object before then.
+// Event locations: which container currently holds the event. A
+// whereHeap event is removed eagerly on Cancel (idx names its heap
+// slot); a whereLane event is canceled lazily and stays resident until
+// its FIFO slot drains, so Rearm must not reuse the object before then.
 const (
-	whereNone     uint8 = iota
-	whereLane           // nowQ FIFO (current instant)
-	whereRing           // a calendar-ring bucket; idx = position in the bucket
-	whereSorted         // the sorted current-window slice being drained
-	whereCurHeap        // the small heap of events behind the drain cursor
-	whereOverflow       // the far-future overflow heap; idx = heap index
+	whereNone uint8 = iota
+	whereLane       // nowQ FIFO (current instant)
+	whereHeap       // the (time, seq) heap; idx = heap position
 )
 
 // Event is a scheduled callback. The zero Event is invalid. Events
@@ -108,9 +83,8 @@ type Event struct {
 	seq uint64
 	fn  func(any)
 	arg any
-	// idx is the event's slot in its current container: heap index for
-	// whereOverflow/whereCurHeap, bucket position for whereRing, -1
-	// otherwise.
+	// idx is the event's position in the engine's heap while it is
+	// whereHeap, -1 otherwise.
 	idx    int
 	state  uint8
 	where  uint8
@@ -136,36 +110,30 @@ func (e *Event) Time() Time { return e.at }
 // shims all route through this one adapter.
 func CallFunc(x any) { x.(func())() }
 
-// evLess is the global dispatch order: ascending (time, seq).
-func evLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// entry is one heap slot. The (at, seq) key is copied inline from the
+// event, so sift comparisons read only the contiguous heap array; ev is
+// touched only to record its new position when the entry moves.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
 }
 
-type eventHeap []*Event
+// less is the global dispatch order: ascending (time, seq).
+func (a entry) less(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return evLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+// earlier returns whichever of slots i and j holds the earlier entry,
+// without a branch: the borrow out of the 128-bit subtraction
+// (h[j].at, h[j].seq) - (h[i].at, h[i].seq) is 1 exactly when h[j]
+// precedes h[i], and it selects j. Sift-down picks the earliest of four
+// children with three of these; data-dependent branches there would
+// mispredict about half the time.
+func earlier(h []entry, i, j int) int {
+	_, borrow := bits.Sub64(h[j].seq, h[i].seq, 0)
+	_, borrow = bits.Sub64(uint64(h[j].at)^(1<<63), uint64(h[i].at)^(1<<63), borrow)
+	return i ^ ((i ^ j) & -int(borrow))
 }
 
 // Engine is the discrete-event simulation core. Create one with NewEngine;
@@ -174,53 +142,28 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// queue is the far-future overflow heap: events past the ring
-	// horizon at insert time. Its minimum is always >= every ring/window
-	// event (overflow events migrate into the ring before their bucket's
-	// window can open), so it only needs consulting when the ring runs
-	// dry. In plain mode it is the only queue.
-	queue eventHeap
-
-	// The calendar ring: ring[b] holds events with
-	// wheelStart <= at < wheelStart+horizon whose (at>>bucketShift)
-	// lands on b. Buckets are unordered (sorted at drain); ringBits is
-	// the non-empty-bucket bitmap; wheelLive counts live ring events.
-	ring      [][]*Event
-	ringBits  []uint64
-	wheelLive int
-	// wheelStart is the lower edge of the ring: the end of the last
-	// drained bucket window, always bucket-aligned. Events scheduled
-	// below it (short delays inside the window being drained) go to
-	// curHeap instead.
-	wheelStart Time
-
-	// The current drain window: sortedCur is the last drained bucket,
-	// sorted ascending (time, seq), consumed from curIdx; curLive counts
-	// its not-yet-canceled remainder. curHeap holds events inserted
-	// behind wheelStart after the window opened; the dispatcher merges
-	// the two by (time, seq). Everything here is < wheelStart, so it
-	// precedes every ring and overflow event.
-	sortedCur []*Event
-	curIdx    int
-	curLive   int
-	curHeap   eventHeap
-
-	// slabs recycles bucket backing arrays: a drained window's slice
-	// returns here and the next insert into an empty bucket takes it,
-	// so steady-state bucket churn allocates nothing even though the
-	// set of active buckets slides forward in time. slabMem is the
-	// carve block behind a dry pool: fresh slabs are sliced off one
-	// shared allocation instead of allocated one by one, so warming a
-	// wide ring (a pod runs one engine per rack, each with its own
-	// ring) costs O(buckets/64) allocations rather than O(buckets).
-	slabs   [][]*Event
-	slabMem []*Event
+	// heap holds every pending event scheduled after the current
+	// instant (and those at it that were scheduled earlier): a 4-ary
+	// min-heap on (at, seq). Four children per node halve the depth of a
+	// binary heap, and a sift-down compares siblings that share a cache
+	// line or two. Rack engines hold tens to a few hundred events, so
+	// the whole queue stays cache-resident.
+	heap []entry
+	// vacant marks heap[0] as the slot of the event Step just
+	// dispatched, left in place so that the next insert — usually
+	// scheduled by that event's own callback — refills the root with
+	// one sift-down instead of a pop's sift-down followed by its own
+	// sift-up. An insert that belongs near the front (a short delay)
+	// then costs a level or two. The stale root keeps its key, which
+	// precedes every queued entry, so a Cancel's sifts below it work
+	// unchanged; Step settles the vacancy before it reads the root.
+	vacant bool
 
 	// nowQ is the same-time fast lane: a FIFO of events scheduled for
-	// the current instant. The calendar never receives an event at the
-	// current time (enqueue routes those here), so every queued event at
-	// e.now predates — and therefore has a smaller seq than — every
-	// lane entry, and "drain queue-at-now first, then the lane in FIFO
+	// the current instant. The heap never receives an event at the
+	// current time (place routes those here), so every heap event at
+	// e.now predates — and therefore has a smaller seq than — every lane
+	// entry, and "drain the heap at now first, then the lane in FIFO
 	// order" is exactly ascending (time, seq). nowHead is the drain
 	// cursor; nowLive counts lane entries that are still pending
 	// (cancellation skips lazily).
@@ -232,17 +175,13 @@ type Engine struct {
 	// recycled here. Events whose pointer escaped to a caller
 	// (Schedule/At/ScheduleTimer) are never recycled — a retained
 	// handle must stay inert forever, not come back to life as someone
-	// else's event. evMem is the carve block behind a dry free list:
-	// like slabMem, it batches the warm-up of per-engine pools.
+	// else's event. evMem is the carve block behind a dry free list: it
+	// batches the warm-up of per-engine pools (a pod runs one engine per
+	// rack).
 	free  Pool[Event]
 	evMem []Event
 
 	stopped bool
-
-	// plain disables the free list, the fast lane, and the calendar
-	// ring, forcing every event through the reference (time, seq) heap —
-	// the oracle mode the equivalence tests compare against.
-	plain bool
 
 	// Executed counts events dispatched since creation, for debugging and
 	// runaway detection in tests.
@@ -259,19 +198,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine {
-	return &Engine{
-		ring:     make([][]*Event, numBuckets),
-		ringBits: make([]uint64, numBuckets/64),
-	}
-}
-
-// newPlainEngine returns an engine with pooling, the fast lane, and the
-// calendar ring disabled: the reference implementation the equivalence
-// property tests drive in lockstep with a production engine.
-func newPlainEngine() *Engine {
-	return &Engine{plain: true}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -311,7 +238,7 @@ func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.enqueue(e.now.Add(delay), fn, arg, !e.plain)
+	e.enqueue(e.now.Add(delay), fn, arg, true)
 }
 
 // AtArg enqueues the pre-bound callback fn(arg) at the absolute virtual
@@ -320,7 +247,7 @@ func (e *Engine) AtArg(at Time, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: AtArg with nil callback")
 	}
-	e.enqueue(at, fn, arg, !e.plain)
+	e.enqueue(at, fn, arg, true)
 }
 
 // ScheduleTimer enqueues the pre-bound callback fn(arg) after delay and
@@ -355,17 +282,16 @@ func (e *Engine) Rearm(ev *Event, delay Duration, fn func(any), arg any) *Event 
 	if ev.state == statePending {
 		panic("sim: Rearm of a pending event (cancel it first)")
 	}
-	if ev.where != whereNone {
-		// The canceled event still occupies a lane slot or a sorted-
-		// window slot (lazy cancellation); reusing the object would make
-		// the stale slot fire the re-armed callback at the wrong time.
-		// Hand back a fresh event instead — the stale one stays canceled
-		// and drains harmlessly.
+	if ev.where == whereLane {
+		// The canceled event still occupies a lane slot (lazy
+		// cancellation); reusing the object would make the stale slot
+		// fire the re-armed callback at the wrong time. Hand back a
+		// fresh event instead — the stale one stays canceled and drains
+		// harmlessly.
 		return e.enqueue(e.now.Add(delay), fn, arg, false)
 	}
-	at := e.now.Add(delay)
 	e.seq++
-	ev.at, ev.seq, ev.fn, ev.arg = at, e.seq, fn, arg
+	ev.at, ev.seq, ev.fn, ev.arg = e.now.Add(delay), e.seq, fn, arg
 	ev.state, ev.idx, ev.pooled = statePending, -1, false
 	e.place(ev)
 	return ev
@@ -398,60 +324,94 @@ func (e *Engine) enqueue(at Time, fn func(any), arg any, pooled bool) *Event {
 	return ev
 }
 
-// place routes a pending event to its container: the plain-mode heap, the
-// current-instant fast lane, the current drain window's heap, a calendar
-// bucket, or the far-future overflow heap.
+// place routes a pending event to the current-instant fast lane or the
+// heap.
 func (e *Engine) place(ev *Event) {
-	if e.plain {
-		ev.where = whereOverflow
-		heap.Push(&e.queue, ev)
-		return
-	}
-	at := ev.at
-	switch {
-	case at == e.now:
+	if ev.at == e.now {
 		ev.where = whereLane
 		e.nowQ = append(e.nowQ, ev)
 		e.nowLive++
-	case at < e.wheelStart:
-		// A short delay landing inside the window currently being
-		// drained: merge it with sortedCur through the window heap.
-		ev.where = whereCurHeap
-		heap.Push(&e.curHeap, ev)
-	case at < e.wheelStart+horizon:
-		e.pushRing(ev)
-	default:
-		ev.where = whereOverflow
-		heap.Push(&e.queue, ev)
+		return
 	}
+	ev.where = whereHeap
+	x := entry{ev.at, ev.seq, ev}
+	if e.vacant {
+		e.vacant = false
+		e.siftDown(0, x)
+		return
+	}
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, x)
 }
 
-// pushRing inserts a pending event into its calendar bucket (the event's
-// time must lie in [wheelStart, wheelStart+horizon)).
-func (e *Engine) pushRing(ev *Event) {
-	b := int(ev.at>>bucketShift) & ringMask
-	bucket := e.ring[b]
-	if bucket == nil {
-		if bucket = e.popSlab(); bucket == nil {
-			// Slab pool dry (more buckets concurrently populated than
-			// windows drained so far — e.g. thousands of in-flight fault
-			// timeouts spread across the horizon): carve a 32-cap slab
-			// from the block allocation, so the bucket skips the
-			// 1→2→4→… growth ladder and warming the whole ring costs a
-			// handful of allocations instead of one per bucket.
-			const slabCap = 32
-			if len(e.slabMem) < slabCap {
-				e.slabMem = make([]*Event, 64*slabCap)
+// siftUp stores x at hole i or above it, moving later parents down.
+func (e *Engine) siftUp(i int, x entry) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.idx = i
+		i = p
+	}
+	h[i] = x
+	x.ev.idx = i
+}
+
+// siftDown stores x at hole i or below it, moving earlier children up.
+func (e *Engine) siftDown(i int, x entry) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		if c+3 < n {
+			m = earlier(h, earlier(h, c, c+1), earlier(h, c+2, c+3))
+		} else {
+			for j := c + 1; j < n; j++ {
+				m = earlier(h, m, j)
 			}
-			bucket = e.slabMem[:0:slabCap]
-			e.slabMem = e.slabMem[slabCap:]
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.idx = i
+		i = m
+	}
+	h[i] = x
+	x.ev.idx = i
+}
+
+// remove deletes heap slot i and returns its event.
+func (e *Engine) remove(i int) *Event {
+	ev := e.heap[i].ev
+	e.cut(i)
+	ev.where, ev.idx = whereNone, -1
+	return ev
+}
+
+// cut deletes heap slot i: the last entry fills the hole and sifts
+// whichever way restores the heap order. It never touches the deleted
+// entry's event, which for a vacant root may already be recycled.
+func (e *Engine) cut(i int) {
+	h := e.heap
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	e.heap = h[:n]
+	if i < n {
+		if i > 0 && last.less(h[(i-1)>>2]) {
+			e.siftUp(i, last)
+		} else {
+			e.siftDown(i, last)
 		}
 	}
-	ev.where = whereRing
-	ev.idx = len(bucket)
-	e.ring[b] = append(bucket, ev)
-	e.ringBits[b>>6] |= 1 << uint(b&63)
-	e.wheelLive++
 }
 
 // Cancel removes a pending event. Canceling an already-fired or
@@ -461,34 +421,10 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.state != statePending {
 		return
 	}
-	switch ev.where {
-	case whereOverflow:
-		heap.Remove(&e.queue, ev.idx)
-		ev.where = whereNone
-	case whereCurHeap:
-		heap.Remove(&e.curHeap, ev.idx)
-		ev.where = whereNone
-	case whereRing:
-		// Buckets are unordered until drained, so swap-remove is legal.
-		b := int(ev.at>>bucketShift) & ringMask
-		bucket := e.ring[b]
-		last := len(bucket) - 1
-		moved := bucket[last]
-		bucket[ev.idx] = moved
-		moved.idx = ev.idx
-		bucket[last] = nil
-		e.ring[b] = bucket[:last]
-		if last == 0 {
-			e.ringBits[b>>6] &^= 1 << uint(b&63)
-		}
-		e.wheelLive--
-		ev.where = whereNone
-		ev.idx = -1
-	case whereSorted:
-		// Lazily skipped when the drain cursor reaches it.
-		e.curLive--
-	case whereLane:
-		// In the now lane: mark and skip lazily at pop time.
+	if ev.where == whereHeap {
+		e.remove(ev.idx)
+	} else {
+		// In the now lane: skipped lazily when its slot drains.
 		e.nowLive--
 	}
 	ev.state = stateCanceled
@@ -497,7 +433,10 @@ func (e *Engine) Cancel(ev *Event) {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {
-	return e.nowLive + e.curLive + len(e.curHeap) + e.wheelLive + len(e.queue)
+	if e.vacant {
+		return e.nowLive + len(e.heap) - 1
+	}
+	return e.nowLive + len(e.heap)
 }
 
 // fire dispatches one event, recycling it first if it never escaped.
@@ -522,264 +461,41 @@ func (e *Engine) fire(ev *Event) {
 	fn(arg)
 }
 
-// sortEvents orders a drained bucket ascending (time, seq) in place,
-// allocation-free: insertion sort with a direct, inlinable comparison.
-// Buckets are tiny (events within one 256 ns window — the p99 is a
-// handful of entries), and this measurably outperforms
-// slices.SortFunc here: the generic pdqsort pays an indirect
-// comparator call per comparison, which at millions of drains per
-// second costs ~10% of rack-scenario throughput. The heapsort arm
-// bounds the degenerate case (one bucket absorbing a same-timestamp
-// burst) at O(n log n) without allocating.
-func sortEvents(s []*Event) {
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	if n <= 48 {
-		for i := 1; i < n; i++ {
-			ev := s[i]
-			j := i - 1
-			for j >= 0 && evLess(ev, s[j]) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = ev
-		}
-		return
-	}
-	// Heapsort: build a max-heap, then swap the max to the tail.
-	siftDown := func(lo, hi int) {
-		root := lo
-		for {
-			child := 2*root + 1
-			if child >= hi {
-				return
-			}
-			if child+1 < hi && evLess(s[child], s[child+1]) {
-				child++
-			}
-			if !evLess(s[root], s[child]) {
-				return
-			}
-			s[root], s[child] = s[child], s[root]
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		s[0], s[i] = s[i], s[0]
-		siftDown(0, i)
-	}
-}
-
-// advance refills the drain window from the calendar ring (migrating
-// overflow events that have come inside the horizon first), returning
-// false when no queued events remain anywhere. On return with true, the
-// earliest pending event is in sortedCur or curHeap.
-func (e *Engine) advance() bool {
-	for {
-		if e.curLive > 0 || len(e.curHeap) > 0 {
-			return true
-		}
-		if e.wheelLive == 0 {
-			if len(e.queue) == 0 {
-				return false
-			}
-			// The ring ran dry: jump its lower edge to the overflow
-			// minimum's bucket so migration can land it.
-			if ws := e.queue[0].at &^ (bucketWidth - 1); ws > e.wheelStart {
-				e.wheelStart = ws
-			}
-		}
-		// Migrate far-future events that the advancing horizon now
-		// covers. Their (time, seq) order relative to ring residents is
-		// restored by the per-bucket sort at drain.
-		for len(e.queue) > 0 && e.queue[0].at < e.wheelStart+horizon {
-			e.pushRing(heap.Pop(&e.queue).(*Event))
-		}
-		// Find the next non-empty bucket at or after wheelStart. All
-		// ring events live in [wheelStart, wheelStart+horizon), so
-		// scanning the bitmap forward (with wraparound) visits buckets
-		// in ascending time order.
-		start := int(e.wheelStart>>bucketShift) & ringMask
-		b := e.nextBucket(start)
-		if b < 0 {
-			// wheelLive > 0 guarantees a set bit; the bitmap is exact
-			// (cleared on cancel-to-empty and drain).
-			panic("sim: calendar ring accounting corrupted")
-		}
-		windowStart := e.wheelStart + Time((b-start)&ringMask)<<bucketShift
-
-		// Open the bucket as the new drain window. The previous
-		// window's backing array returns to the slab pool so the next
-		// newly-touched bucket reuses it — steady state allocates
-		// nothing. Any canceled leftovers behind the old cursor lose
-		// their residency first.
-		for i := e.curIdx; i < len(e.sortedCur); i++ {
-			if ev := e.sortedCur[i]; ev != nil {
-				ev.where = whereNone
-				e.sortedCur[i] = nil
-			}
-		}
-		if cap(e.sortedCur) > 0 {
-			e.slabs = append(e.slabs, e.sortedCur[:0])
-		}
-		bucket := e.ring[b]
-		e.ring[b] = nil
-		e.ringBits[b>>6] &^= 1 << uint(b&63)
-		for _, ev := range bucket {
-			ev.where = whereSorted
-			ev.idx = -1
-		}
-		sortEvents(bucket)
-		e.sortedCur = bucket
-		e.curIdx = 0
-		e.curLive = len(bucket)
-		e.wheelLive -= len(bucket)
-		e.wheelStart = windowStart + bucketWidth
-	}
-}
-
-// popSlab takes a recycled bucket backing array (zero length, retained
-// capacity), or nil when none is available (append will allocate).
-func (e *Engine) popSlab() []*Event {
-	n := len(e.slabs)
-	if n == 0 {
-		return nil
-	}
-	s := e.slabs[n-1]
-	e.slabs[n-1] = nil
-	e.slabs = e.slabs[:n-1]
-	return s
-}
-
-// nextBucket returns the first non-empty bucket index scanning forward
-// from start (wrapping), or -1 if the whole ring is empty.
-func (e *Engine) nextBucket(start int) int {
-	w := start >> 6
-	// Mask off bits below start in the first word; the wrapped-around
-	// final iteration re-reads it unmasked, which visits those low
-	// buckets last — exactly their position in time order.
-	word := e.ringBits[w] &^ ((1 << uint(start&63)) - 1)
-	for i := 0; i <= numBuckets/64; i++ {
-		if word != 0 {
-			return (w<<6 + bits.TrailingZeros64(word)) & ringMask
-		}
-		w = (w + 1) & (numBuckets/64 - 1)
-		word = e.ringBits[w]
-	}
-	return -1
-}
-
-// wheelHead returns the earliest pending calendar event without removing
-// it (ensuring the drain window is populated), or nil when none remain.
-func (e *Engine) wheelHead() *Event {
-	for {
-		// Drop canceled entries under the cursor so the head is live.
-		for e.curIdx < len(e.sortedCur) {
-			ev := e.sortedCur[e.curIdx]
-			if ev.state != stateCanceled {
-				break
-			}
-			ev.where = whereNone
-			e.sortedCur[e.curIdx] = nil
-			e.curIdx++
-		}
-		var head *Event
-		if e.curIdx < len(e.sortedCur) {
-			head = e.sortedCur[e.curIdx]
-		}
-		if len(e.curHeap) > 0 {
-			if h := e.curHeap[0]; head == nil || evLess(h, head) {
-				head = h
-			}
-		}
-		if head != nil {
-			return head
-		}
-		if !e.advance() {
-			return nil
-		}
-	}
-}
-
-// popWheel removes the event wheelHead returned.
-func (e *Engine) popWheel(ev *Event) {
-	if len(e.curHeap) > 0 && e.curHeap[0] == ev {
-		heap.Pop(&e.curHeap)
-		return
-	}
-	e.sortedCur[e.curIdx] = nil
-	e.curIdx++
-	e.curLive--
-}
-
 // Step dispatches the single earliest event, advancing the clock to its
 // timestamp. It returns false if the queue is empty.
 func (e *Engine) Step() bool {
-	if e.plain {
-		if len(e.queue) == 0 {
-			return false
+	if e.vacant {
+		e.vacant = false
+		e.cut(0)
+	}
+	// Heap events at the current instant predate everything in the now
+	// lane (see the nowQ invariant), so the lane drains only once the
+	// heap's head lies in the future.
+	for e.nowHead < len(e.nowQ) && (len(e.heap) == 0 || e.heap[0].at > e.now) {
+		ev := e.nowQ[e.nowHead]
+		e.nowQ[e.nowHead] = nil
+		e.nowHead++
+		if e.nowHead == len(e.nowQ) {
+			e.nowQ = e.nowQ[:0]
+			e.nowHead = 0
 		}
-		ev := heap.Pop(&e.queue).(*Event)
 		ev.where = whereNone
-		e.now = ev.at
+		if ev.state == stateCanceled {
+			continue
+		}
+		e.nowLive--
 		e.fire(ev)
 		return true
 	}
-	for {
-		head := e.wheelHead()
-		// Calendar events at the current instant predate everything in
-		// the now lane (see the nowQ invariant), so they dispatch first.
-		if head != nil && head.at == e.now {
-			e.popWheel(head)
-			e.fire(head)
-			return true
-		}
-		if e.nowHead < len(e.nowQ) {
-			ev := e.nowQ[e.nowHead]
-			e.nowQ[e.nowHead] = nil
-			e.nowHead++
-			if e.nowHead == len(e.nowQ) {
-				e.nowQ = e.nowQ[:0]
-				e.nowHead = 0
-			}
-			ev.where = whereNone
-			if ev.state == stateCanceled {
-				continue
-			}
-			e.nowLive--
-			e.fire(ev)
-			return true
-		}
-		if head != nil {
-			e.popWheel(head)
-			e.now = head.at
-			e.fire(head)
-			return true
-		}
+	if len(e.heap) == 0 {
 		return false
 	}
-}
-
-// peekTime returns the earliest pending event's timestamp.
-func (e *Engine) peekTime() (Time, bool) {
-	if e.plain {
-		if len(e.queue) == 0 {
-			return 0, false
-		}
-		return e.queue[0].at, true
-	}
-	if e.nowLive > 0 {
-		return e.now, true
-	}
-	if head := e.wheelHead(); head != nil {
-		return head.at, true
-	}
-	return 0, false
+	ev := e.heap[0].ev
+	ev.where, ev.idx = whereNone, -1
+	e.vacant = true
+	e.now = ev.at
+	e.fire(ev)
+	return true
 }
 
 // PeekTime returns the earliest pending event's timestamp without
@@ -788,13 +504,32 @@ func (e *Engine) peekTime() (Time, bool) {
 // across all rack engines bounds the first window in which any rack can
 // dispatch, so every window before it may be skipped.
 //
-// Peeking may rotate the calendar ring's drain window (and migrate
-// overflow events that have come inside the horizon) to locate the
-// head, but it never fires, reorders or drops an event: the dispatch
-// sequence — and therefore the dispatch-trace hash — is identical
-// whether or not PeekTime was called. Call it only from contexts that
-// already own the engine (barrier context under the pod executor).
-func (e *Engine) PeekTime() (Time, bool) { return e.peekTime() }
+// Peeking reads the lane count and the heap root and changes nothing,
+// so the dispatch sequence — and therefore the dispatch-trace hash — is
+// identical whether or not PeekTime was called. Call it only from
+// contexts that already own the engine (barrier context under the pod
+// executor).
+func (e *Engine) PeekTime() (Time, bool) {
+	if e.nowLive > 0 {
+		return e.now, true
+	}
+	h := e.heap
+	if e.vacant {
+		// A vacant root's children head the remaining subtrees.
+		if len(h) == 1 {
+			return 0, false
+		}
+		m := 1
+		for j := 2; j < min(5, len(h)); j++ {
+			m = earlier(h, m, j)
+		}
+		return h[m].at, true
+	}
+	if len(h) > 0 {
+		return h[0].at, true
+	}
+	return 0, false
+}
 
 // Run dispatches events until the queue drains or Stop is called.
 func (e *Engine) Run() {
@@ -805,18 +540,18 @@ func (e *Engine) Run() {
 
 // RunUntil dispatches events with timestamps <= deadline, then sets the
 // clock to deadline if the simulation ran dry earlier. Events scheduled
-// beyond deadline remain queued.
+// beyond deadline remain queued. After a Stop the clock stays at the
+// last dispatched event, since earlier events may still be queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok || t > deadline {
-			break
+		if t, ok := e.PeekTime(); !ok || t > deadline {
+			if e.now < deadline {
+				e.now = deadline
+			}
+			return
 		}
 		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 
@@ -828,22 +563,22 @@ func (e *Engine) RunUntil(deadline Time) {
 // arrival) is never dispatched by the window that closed before it was
 // injected. After RunWindow returns, every remaining queued event has
 // at >= end and the clock sits exactly on the boundary, so boundary
-// injections with at == end are legal non-past schedules.
+// injections with at == end are legal non-past schedules. A Stop
+// leaves the clock at the last dispatched event instead, as RunUntil.
 func (e *Engine) RunWindow(end Time) {
 	e.stopped = false
 	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok || t >= end {
-			break
+		if t, ok := e.PeekTime(); !ok || t >= end {
+			if e.now < end {
+				e.now = end
+			}
+			return
 		}
 		e.Step()
 	}
-	if e.now < end {
-		e.now = end
-	}
 }
 
-// Stop halts Run/RunUntil after the current event returns.
+// Stop halts Run/RunUntil/RunWindow after the current event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // FreeListLen reports the current size of the event free list

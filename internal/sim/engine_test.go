@@ -375,31 +375,43 @@ func TestDurationHelpers(t *testing.T) {
 }
 
 // The engine must tolerate heavy churn: schedule/cancel interleavings keep
-// heap indices consistent.
+// heap indices consistent, and the dispatch order matches refEngine.
 func TestEngineHeapChurnProperty(t *testing.T) {
-	rng := NewRNG(99, "churn")
-	e := NewEngine()
-	live := map[*Event]bool{}
-	fired := 0
-	for i := 0; i < 5000; i++ {
-		switch rng.Intn(3) {
-		case 0, 1:
-			ev := e.Schedule(Duration(rng.Intn(1000)), func() { fired++ })
-			live[ev] = true
-		case 2:
-			for ev := range live {
-				e.Cancel(ev)
-				delete(live, ev)
-				break
+	run := func(e queueEngine) []int {
+		rng := NewRNG(99, "churn")
+		var live []*Event
+		var fired []int
+		for i := 0; i < 5000; i++ {
+			switch rng.Intn(3) {
+			case 0, 1:
+				i := i
+				live = append(live, e.Schedule(Duration(rng.Intn(1000)), func() { fired = append(fired, i) }))
+			case 2:
+				if len(live) > 0 {
+					k := rng.Intn(len(live))
+					e.Cancel(live[k])
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
 			}
 		}
+		e.Run()
+		if e.Pending() != 0 {
+			t.Errorf("pending = %d after Run", e.Pending())
+		}
+		return fired
 	}
-	e.Run()
-	if fired == 0 {
-		t.Error("nothing fired")
+	got, want := run(NewEngine()), run(newRefEngine())
+	if len(got) == 0 {
+		t.Fatal("nothing fired")
 	}
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d after Run", e.Pending())
+	if len(got) != len(want) {
+		t.Fatalf("engine fired %d events, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch order diverges at %d: engine=%d reference=%d", i, got[i], want[i])
+		}
 	}
 }
 

@@ -31,13 +31,12 @@ func TestPeekTimeNowLane(t *testing.T) {
 	}
 }
 
-// TestPeekTimeCalendarRing checks the common case: an event parked in a
-// calendar bucket is reported without being dispatched and without the
-// clock moving.
-func TestPeekTimeCalendarRing(t *testing.T) {
+// TestPeekTimeHeapRoot checks the common case: the heap root is
+// reported without being dispatched and without the clock moving.
+func TestPeekTimeHeapRoot(t *testing.T) {
 	e := NewEngine()
+	e.At(700, func() {})
 	e.At(100, func() {})
-	e.At(700, func() {}) // a different bucket (bucketWidth = 256 ns)
 	at, ok := e.PeekTime()
 	if !ok || at != 100 {
 		t.Fatalf("peek = (%v, %v), want (100, true)", at, ok)
@@ -50,12 +49,13 @@ func TestPeekTimeCalendarRing(t *testing.T) {
 	}
 }
 
-// TestPeekTimeInWindowHeap checks the drain-window insert path: an
-// event scheduled from within a callback into the bucket currently
-// being drained lands in curHeap, and a peek between steps must see it.
-func TestPeekTimeInWindowHeap(t *testing.T) {
+// TestPeekTimeShortDelay checks a delay shorter than the old 256 ns ring
+// bucket, scheduled from within a callback: a peek between steps must
+// see it ahead of a later event.
+func TestPeekTimeShortDelay(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() { e.Schedule(5, func() {}) }) // 15 shares 10's bucket
+	e.At(10, func() { e.Schedule(5, func() {}) })
+	e.At(200, func() {})
 	if !e.Step() {
 		t.Fatal("step dispatched nothing")
 	}
@@ -65,10 +65,10 @@ func TestPeekTimeInWindowHeap(t *testing.T) {
 	}
 }
 
-// TestPeekTimeOverflow checks the far-future path: an event beyond the
-// ring's ~2.1 ms horizon lives in the overflow heap; peeking must
-// migrate it across the horizon (the ring jumps forward) and report it
-// — and the subsequent dispatch must still happen at its exact time.
+// TestPeekTimeOverflow checks delays past the old ring's ~2.1 ms
+// horizon (where its overflow heap took over): the far event is
+// reported exactly and dispatches at its time, alone or behind a near
+// one.
 func TestPeekTimeOverflow(t *testing.T) {
 	far := Time(10 * Millisecond)
 	e := NewEngine()
@@ -78,11 +78,9 @@ func TestPeekTimeOverflow(t *testing.T) {
 		t.Fatalf("peek = (%v, %v), want (%v, true)", at, ok, far)
 	}
 	if !e.Step() || e.Now() != far {
-		t.Fatalf("dispatch after overflow peek at %v, want %v", e.Now(), far)
+		t.Fatalf("dispatch after far peek at %v, want %v", e.Now(), far)
 	}
 
-	// Both a near ring event and a far overflow event: the peek reports
-	// the near one, and after it fires the overflow event surfaces.
 	e2 := NewEngine()
 	e2.At(100, func() {})
 	e2.At(far, func() {})
@@ -91,15 +89,15 @@ func TestPeekTimeOverflow(t *testing.T) {
 	}
 	e2.Step()
 	if at, ok := e2.PeekTime(); !ok || at != far {
-		t.Fatalf("peek across horizon = (%v, %v), want (%v, true)", at, ok, far)
+		t.Fatalf("peek after the near event = (%v, %v), want (%v, true)", at, ok, far)
 	}
 }
 
 // TestPeekTimeDispatchNeutral is the property the sparse-horizon
 // executor rests on: interleaving PeekTime calls anywhere in a run must
 // not change the dispatch sequence. Two engines replay the same
-// schedule — self-rescheduling chains spanning the now lane, the ring
-// and the overflow heap — one peeked before every step, and their
+// schedule — self-rescheduling chains spanning the now lane, short and
+// far-future heap delays — one peeked before every step, and their
 // dispatch-trace hashes must agree.
 func TestPeekTimeDispatchNeutral(t *testing.T) {
 	build := func() *Engine {
@@ -112,9 +110,9 @@ func TestPeekTimeDispatchNeutral(t *testing.T) {
 			if n > 40 {
 				return
 			}
-			e.Schedule(Duration(n%3), tick)                // now lane / in-window
-			e.Schedule(Duration(137*n), func() {})         // ring
-			e.Schedule(Duration(3*Millisecond), func() {}) // overflow
+			e.Schedule(Duration(n%3), tick)                // now lane / short delay
+			e.Schedule(Duration(137*n), func() {})         // mid-range
+			e.Schedule(Duration(3*Millisecond), func() {}) // far future
 		}
 		e.At(5, tick)
 		return e

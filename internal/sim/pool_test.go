@@ -185,9 +185,9 @@ func TestRearmAfterLaneCancel(t *testing.T) {
 	}
 }
 
-// eqOp hashes an event id into deterministic scheduling decisions, so the
-// pooled and plain engines execute the same program without sharing
-// state.
+// eqMix hashes an event id into deterministic scheduling decisions, so
+// the pooled and reference engines execute the same program without
+// sharing state.
 func eqMix(id uint64) uint64 {
 	id ^= id >> 33
 	id *= 0xff51afd7ed558ccd
@@ -198,7 +198,7 @@ func eqMix(id uint64) uint64 {
 // eqDriver runs the randomized schedule program on one engine, recording
 // dispatch order.
 type eqDriver struct {
-	e      *Engine
+	e      queueEngine
 	order  []uint64
 	nextID uint64
 	budget int
@@ -239,13 +239,13 @@ func (d *eqDriver) fired(id uint64) {
 
 // TestPoolEquivalenceRandomized drives an identical randomized schedule —
 // mixed closure/pre-bound forms, zero and nonzero delays, nested
-// scheduling, cancellations — through a pooled engine and the plain
-// reference engine (no pool, no fast lane) and asserts identical dispatch
-// order, Executed counts, and final clocks.
+// scheduling, cancellations — through a pooled engine and refEngine (no
+// pool, no fast lane) and asserts identical dispatch order, Executed
+// counts, and final clocks.
 func TestPoolEquivalenceRandomized(t *testing.T) {
 	const seeds = 20
 	for seed := uint64(0); seed < seeds; seed++ {
-		run := func(e *Engine) *eqDriver {
+		run := func(e queueEngine) *eqDriver {
 			d := &eqDriver{e: e, budget: 2000, nextID: seed * 1_000_000}
 			rng := NewRNG(seed, "pool-eq")
 			for i := 0; i < 50; i++ {
@@ -257,26 +257,23 @@ func TestPoolEquivalenceRandomized(t *testing.T) {
 			return d
 		}
 		pooled := run(NewEngine())
-		plain := run(newPlainEngine())
+		ref := run(newRefEngine())
 
-		if len(pooled.order) != len(plain.order) {
-			t.Fatalf("seed %d: pooled dispatched %d events, plain %d",
-				seed, len(pooled.order), len(plain.order))
+		if len(pooled.order) != len(ref.order) {
+			t.Fatalf("seed %d: pooled dispatched %d events, reference %d",
+				seed, len(pooled.order), len(ref.order))
 		}
 		for i := range pooled.order {
-			if pooled.order[i] != plain.order[i] {
-				t.Fatalf("seed %d: dispatch order diverges at %d: pooled=%d plain=%d",
-					seed, i, pooled.order[i], plain.order[i])
+			if pooled.order[i] != ref.order[i] {
+				t.Fatalf("seed %d: dispatch order diverges at %d: pooled=%d reference=%d",
+					seed, i, pooled.order[i], ref.order[i])
 			}
 		}
-		if pooled.e.Executed != plain.e.Executed {
-			t.Errorf("seed %d: Executed %d vs %d", seed, pooled.e.Executed, plain.e.Executed)
+		if pooled.e.executed() != ref.e.executed() {
+			t.Errorf("seed %d: Executed %d vs %d", seed, pooled.e.executed(), ref.e.executed())
 		}
-		if pooled.e.Now() != plain.e.Now() {
-			t.Errorf("seed %d: final clock %d vs %d", seed, pooled.e.Now(), plain.e.Now())
-		}
-		if plain.e.FreeListLen() != 0 {
-			t.Errorf("seed %d: plain engine pooled %d events", seed, plain.e.FreeListLen())
+		if pooled.e.Now() != ref.e.Now() {
+			t.Errorf("seed %d: final clock %d vs %d", seed, pooled.e.Now(), ref.e.Now())
 		}
 	}
 }
